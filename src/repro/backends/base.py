@@ -143,6 +143,18 @@ class Backend(ABC):
         """
         return self.execute(sql, params)
 
+    def explain_plan(self, sql: str, params: Sequence = ()) -> list[str]:
+        """The access plan the engine chooses for a SELECT, one line per
+        plan step (sqlite ``EXPLAIN QUERY PLAN``, children indented)."""
+        rows = self.execute("EXPLAIN QUERY PLAN " + sql, params).rows
+        levels: dict[int, int] = {}
+        lines = []
+        for node_id, parent, _unused, detail in rows:
+            level = levels.get(parent, -1) + 1
+            levels[node_id] = level
+            lines.append("  " * level + str(detail))
+        return lines
+
     @abstractmethod
     def rows_written(self) -> int:
         """Total rows written (inserted/updated/deleted) so far.

@@ -44,6 +44,10 @@ class MiniDbBackend(Backend):
         METRICS.inc("backend.rows_read", len(result.rows))
         return BackendResult(rows=result.rows, rowcount=result.rowcount)
 
+    def explain_plan(self, sql: str, params: Sequence = ()) -> list[str]:
+        """minidb's own plan description (:meth:`MiniDb.explain`)."""
+        return self.db.explain(sql)
+
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> BackendResult:

@@ -29,6 +29,10 @@ from repro.core.ordpath import (
 )
 from repro.obs import METRICS
 
+#: VM instructions between progress-handler calls in
+#: :meth:`SqliteBackend.vm_steps`, which counts to within one grain.
+VM_STEP_GRAIN = 100
+
 
 def connect_sqlite(
     path: Optional[str], busy_timeout_ms: int = 5000
@@ -112,6 +116,28 @@ class SqliteBackend(Backend):
             METRICS.inc("backend.rows_read", len(rows))
             return BackendResult(rows=[tuple(r) for r in rows],
                                  rowcount=rowcount)
+
+    def vm_steps(self, sql: str, params: Sequence = ()) -> int:
+        """Run a read statement; return the sqlite VM steps it took.
+
+        Counted through the connection's progress handler, called every
+        :data:`VM_STEP_GRAIN` virtual-machine instructions: deterministic
+        for a given database state and exact to within one grain.
+        """
+        calls = 0
+
+        def tick() -> int:
+            nonlocal calls
+            calls += 1
+            return 0
+
+        with self._lock:
+            self._conn.set_progress_handler(tick, VM_STEP_GRAIN)
+            try:
+                self._conn.execute(sql, tuple(params)).fetchall()
+            finally:
+                self._conn.set_progress_handler(None, VM_STEP_GRAIN)
+        return calls * VM_STEP_GRAIN
 
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]

@@ -24,6 +24,12 @@ Failures are *minimized*: the reported operation index is the shortest
 prefix of the stream that still fails (re-derived with per-op checking
 when the original run checked more coarsely), and every failure carries
 a ``repro`` command line that replays exactly that cell.
+
+The *scaling* mode (``FuzzConfig.scaling``) applies no updates.  It runs
+random positional queries over two copies of each cell's document — the
+root's children repeated :data:`SCALING_FACTORS` times — and flags any
+query whose work (sqlite VM steps, minidb rows examined) grows faster
+than the document (:mod:`repro.check.scaling`).
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.check.invariants import audit_document, audit_store
+from repro.check.scaling import (
+    MAX_EXPONENT,
+    WORK_GRAIN,
+    min_judgeable_work,
+    query_work,
+    work_exponent,
+)
 from repro.core.reconstruct import reconstruct_document_with_ids
 from repro.errors import TranslationError, UnsupportedXPathError
 from repro.migrate import migrate_document
@@ -109,6 +122,11 @@ class FuzzConfig:
     #: backend, whose lock serializes whole transactions across
     #: threads.
     migrate_during: bool = False
+    #: Work-growth mode: no updates; ``queries_per_check`` random
+    #: positional queries per cell run over the document at two sizes
+    #: (see :func:`scaled_document`), and any query whose work grows
+    #: with an exponent above :data:`MAX_EXPONENT` fails the cell.
+    scaling: bool = False
 
     def cells(self) -> list[tuple[int, int]]:
         return [
@@ -132,7 +150,7 @@ class FuzzFailure:
     #: Human-readable description of that operation.
     op: str
     #: invariant | oracle | roundtrip | cross-store | cost-mismatch |
-    #: cache-twin | index-twin | crash
+    #: cache-twin | index-twin | crash | scaling
     kind: str
     detail: str
     #: The cell ran the update-heavy op mix (changes the op stream, so
@@ -152,6 +170,13 @@ class FuzzFailure:
         if "->" in encoding:  # migrate-during cells record source->target
             flags += " --migrate-during"
             encoding = encoding.split("->", 1)[0]
+        if self.kind == "scaling":
+            # op_index is the 1-based query index: replay that prefix.
+            return (
+                f"repro fuzz --scaling --seeds 1 --base-seed {self.seed} "
+                f"--queries-per-check {self.op_index} "
+                f"--encodings {encoding} --backends {self.backend}"
+            )
         return (
             f"repro fuzz --seeds 1 --base-seed {self.seed} "
             f"--ops {self.op_index} --gaps {self.gap} "
@@ -242,15 +267,39 @@ def random_xpath(rng: random.Random) -> str:
     return lead + "/".join(steps)
 
 
+def _random_position(rng: random.Random) -> str:
+    """A position literal: mostly 1-4, sometimes 0 or fractional.
+
+    Positions are integers, so ``[2.5]`` selects nothing while
+    ``[position() < 2.5]`` selects two candidates — a translation that
+    truncates the literal gets both wrong.
+    """
+    roll = rng.random()
+    if roll < 0.1:
+        return "0"
+    if roll < 0.3:
+        return f"{rng.randint(0, 3)}.5"
+    return str(rng.randint(1, 4))
+
+
+def _random_positional(rng: random.Random, kind: int) -> str:
+    """Positional predicate *kind*: 0 ``[k]``, 1 ``last()``, 2
+    ``position() <op> k``."""
+    if kind == 0:
+        return _random_position(rng)
+    if kind == 1:
+        if rng.random() < 0.25:
+            op = rng.choice(("<", ">=", "="))
+            return f"last() {op} {_random_position(rng)}"
+        return "last()"
+    op = rng.choice(("<=", "<", ">=", ">", "=", "!="))
+    return f"position() {op} {_random_position(rng)}"
+
+
 def _random_predicate(rng: random.Random) -> str:
     kind = rng.randint(0, 6)
-    if kind == 0:
-        return str(rng.randint(1, 4))
-    if kind == 1:
-        return "last()"
-    if kind == 2:
-        op = rng.choice(("<=", "<", ">=", ">", "=", "!="))
-        return f"position() {op} {rng.randint(1, 4)}"
+    if kind <= 2:
+        return _random_positional(rng, kind)
     if kind == 3:
         return rng.choice((*_TAGS, "@" + rng.choice(_ATTRS)))
     if kind == 4:
@@ -271,6 +320,55 @@ def _random_predicate(rng: random.Random) -> str:
     if rng.random() < 0.6:
         return f"{rng.choice(_TAGS)} {op} {rng.randint(0, 99)}"
     return f"{rng.choice(_TAGS)}/text() {op} {rng.randint(0, 99)}"
+
+
+#: Axes a --scaling query steps along after narrowing to one context.
+_SCALING_AXES = (
+    "following", "preceding", "following-sibling", "preceding-sibling",
+    "descendant", "ancestor", "child",
+)
+
+
+def random_scaling_xpath(rng: random.Random) -> str:
+    """A positional query whose work must stay linear in the document.
+
+    Either one ranking per sibling group over the whole document
+    (``//T[pos]``, optionally followed by a child step), or a positional
+    child step that narrows the context to one root child followed by
+    one axis step with a positional predicate.  Both have plans linear
+    in document plus result size, so superlinear work is a plan fault
+    (many-context document-order steps are left out: their context x
+    candidate pairs grow quadratically by definition).
+    """
+    def test() -> str:
+        return rng.choice((*_TAGS, "*"))
+
+    def predicate() -> str:
+        return _random_positional(rng, rng.randint(0, 2))
+
+    if rng.random() < 0.3:
+        query = f"//{test()}[{predicate()}]"
+        if rng.random() < 0.5:
+            query += f"/{test()}"
+        return query
+    axis = rng.choice(_SCALING_AXES)
+    return (
+        f"/*/{test()}[{rng.randint(1, 3)}]/{axis}::{test()}"
+        f"[{predicate()}]"
+    )
+
+
+def scaled_document(document: Document, factor: int) -> Document:
+    """*document* with its root element's children repeated *factor*
+    times: the same shapes, ``factor`` times the nodes."""
+    root = document.root
+    assert root is not None
+    scaled = Element(root.tag, root.attributes)
+    for _ in range(factor):
+        for child in root.children:
+            scaled.append(_normalized_copy(child))
+    # The round trip merges text that now meets across copies.
+    return parse(serialize(scaled))
 
 
 def indexable_xpath(rng: random.Random) -> str:
@@ -875,9 +973,90 @@ def _run_migrate_cell(
     return None
 
 
+#: Replication factors of the two --scaling document sizes: 2x apart,
+#: and large enough that a one-ranking query over the root's children
+#: (``/*/*[1]``) already does thousands of VM steps on sqlite.
+SCALING_FACTORS = (32, 64)
+
+
+def _run_scaling_cell(
+    config: FuzzConfig, seed: int, report: FuzzReport
+) -> Optional[FuzzFailure]:
+    """Measure work growth of one cell's random positional queries.
+
+    Local order's following::/preceding:: are skipped: with no
+    document-order key they expand into depth-bounded chains per
+    candidate, a known superlinear cost.
+    """
+    base = random_document(
+        seed, max_depth=config.max_depth,
+        max_children=config.max_children,
+    )
+    documents = [scaled_document(base, f) for f in SCALING_FACTORS]
+    qrng = random.Random(seed * 1_000_003)
+    queries = [
+        random_scaling_xpath(qrng)
+        for _ in range(config.queries_per_check)
+    ]
+    for backend in config.backends:
+        for encoding in config.encodings:
+            stores = []
+            for document in documents:
+                store = XmlStore(
+                    backend=backend, encoding=encoding, cache=False
+                )
+                doc = store.load(document)
+                stores.append(
+                    (store, doc, store.document_info(doc).node_count)
+                )
+            report.checks += 1
+            floor = min_judgeable_work(
+                WORK_GRAIN[backend], stores[1][2] / stores[0][2]
+            )
+            try:
+                for index, xpath in enumerate(queries, start=1):
+                    if encoding == "local" and (
+                        "following::" in xpath or "preceding::" in xpath
+                    ):
+                        continue
+                    try:
+                        small, large = (
+                            query_work(store, xpath, doc)
+                            for store, doc, _n in stores
+                        )
+                    except (TranslationError, UnsupportedXPathError):
+                        continue
+                    exponent = work_exponent(
+                        small, large, stores[0][2], stores[1][2]
+                    )
+                    if exponent > MAX_EXPONENT and large >= floor:
+                        return FuzzFailure(
+                            seed=seed, gap=1, backend=backend,
+                            encoding=encoding, op_index=index, op=xpath,
+                            kind="scaling",
+                            detail=(
+                                f"work {small} -> {large} for "
+                                f"{stores[0][2]} -> {stores[1][2]} nodes "
+                                f"(exponent {exponent:.2f} > "
+                                f"{MAX_EXPONENT})"
+                            ),
+                        )
+            finally:
+                for store, _doc, _n in stores:
+                    store.close()
+    return None
+
+
 def run_fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the differential fuzzer; failures come back minimized."""
     report = FuzzReport()
+    if config.scaling:
+        for seed in range(config.base_seed, config.base_seed + config.seeds):
+            report.cells += 1
+            failure = _run_scaling_cell(config, seed, report)
+            if failure is not None:
+                report.failures.append(failure)
+        return report
     if config.migrate_during:
         unsupported = [b for b in config.backends if b != "sqlite"]
         if unsupported:

@@ -450,6 +450,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         index_twin=args.index_twin,
         update_heavy=args.update_heavy,
         migrate_during=args.migrate_during,
+        scaling=args.scaling,
     )
     try:
         report = run_fuzz(config)
@@ -1220,6 +1221,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "background while fuzzing; every query must "
                         "match a non-migrating twin byte for byte "
                         "(sqlite backend only)")
+    p.add_argument("--scaling", action="store_true",
+                   help="apply no updates; run --queries-per-check "
+                        "random positional queries per seed over the "
+                        "document at two sizes and flag any whose work "
+                        "(sqlite VM steps, minidb rows examined) grows "
+                        "faster than the document")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(

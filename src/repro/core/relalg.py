@@ -3,7 +3,9 @@
 The XPath translators no longer emit SQL text directly.  They build a
 small relational algebra AST — tables with aliases, comparisons, AND/OR
 (including the Local encoding's depth-expansion arms), EXISTS and
-correlated COUNT subqueries — which a *dialect* then compiles:
+correlated COUNT subqueries, and ranked derived tables that number a
+step's candidates for positional predicates — which a *dialect* then
+compiles:
 
 * :class:`SqlTextDialect` renders parameterized SQL with ``?``
   placeholders (the sqlite backends reuse prepared statements through
@@ -76,9 +78,6 @@ class LitSlot:
 
     * ``raw``   — the literal itself;
     * ``num``   — as int when integral, else float;
-    * ``int``   — truncated to int;
-    * ``posm1`` — ``int(v) - 1`` (positions compare against a count of
-      *preceding* axis-mates);
     * ``len``   — ``len(v)`` (the ``starts-with`` prefix length).
     """
 
@@ -95,10 +94,6 @@ def _apply_transform(transform: str, value: object) -> object:
     if transform == "num":
         number = float(value)  # type: ignore[arg-type]
         return int(number) if number == int(number) else number
-    if transform == "int":
-        return int(value)  # type: ignore[arg-type]
-    if transform == "posm1":
-        return int(value) - 1  # type: ignore[arg-type]
     if transform == "len":
         return len(value)  # type: ignore[arg-type]
     raise TranslationError(f"unknown literal transform {transform!r}")
@@ -243,6 +238,69 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
+class RankedSource:
+    """A derived table that numbers each group's candidates in axis order.
+
+    ``query`` yields one row per (group, candidate): a ``grp`` column
+    plus the passthrough ``columns``.  The derived table projects those
+    columns and, per ``grp`` partition, the ``windows`` asked for:
+
+    * ``rn``  — ``ROW_NUMBER()`` in axis order: ``order`` ascending, or
+      descending on reverse axes (``descending``);
+    * ``rrn`` — ``ROW_NUMBER()`` in the opposite order, so the last
+      candidate has ``rrn = 1`` (``last()`` without counting);
+    * ``cnt`` — ``COUNT(*)``, the partition size (``last() <op> k``).
+
+    ``order`` is ``None`` when the encoding has no key for the axis;
+    only ``cnt`` is available then.  ``alias`` names ``query`` inside
+    the derived table.
+
+    The window function keeps the source a derived table on sqlite
+    (a subquery holding one is never flattened), and it references no
+    outer alias unless the step sits in a correlated predicate path, so
+    both engines evaluate it once per statement.
+    """
+
+    query: "Select"
+    alias: str
+    columns: tuple[str, ...]
+    order: Optional[str]
+    descending: bool = False
+    windows: tuple[str, ...] = ("rn",)
+
+    def pruned(
+        self, alias: str, used: Optional[set]
+    ) -> "RankedSource":
+        """This source without the passthrough columns the statement
+        never reads through *alias*; *used* holds every ``(alias,
+        column)`` it reads (see :func:`compute_stats`; ``None``
+        keeps all).  The inner query keeps ``grp``, the order key the
+        windows sort by, and ``id``: a ``SELECT DISTINCT`` inner query
+        must not merge two candidates that agree on the kept columns.
+
+        Unread columns would otherwise be copied through the window's
+        sort (DESIGN.md, "Ranked positional sources", gives the
+        measured saving)."""
+        if used is None:
+            return self
+        keep = tuple(c for c in self.columns if (alias, c) in used)
+        keep = keep or self.columns[:1]
+        inner_keep = {"grp", "id", self.order, *keep}
+        inner = replace(self.query, columns=tuple(
+            item for item in self.query.columns
+            if (item.as_name or getattr(item.expr, "name", None))
+            in inner_keep
+        ))
+        return replace(self, query=inner, columns=keep)
+
+    def window_spec(self, name: str) -> tuple[Optional[str], bool]:
+        """``(order column, descending)`` of window *name*."""
+        if name == "cnt":
+            return None, False
+        return self.order, self.descending != (name == "rrn")
+
+
+@dataclass(frozen=True)
 class Select:
     """One SELECT.
 
@@ -252,7 +310,8 @@ class Select:
     """
 
     columns: tuple[SelectItem, ...]
-    from_items: tuple[tuple[str, str], ...] = ()  # (table, alias)
+    #: (table or ranked derived table, alias)
+    from_items: tuple[tuple[Union[str, RankedSource], str], ...] = ()
     where: tuple["RelExpr", ...] = ()
     order_by: tuple[Col, ...] = ()
     distinct: bool = False
@@ -288,6 +347,7 @@ class TranslationStats:
     exists_subqueries: int = 0
     count_subqueries: int = 0
     or_expansions: int = 0  # depth-expansion arms (Local encoding)
+    rank_sources: int = 0  # ranked derived tables (positional steps)
 
     def total_relational_operations(self) -> int:
         return (
@@ -295,57 +355,73 @@ class TranslationStats:
             + self.exists_subqueries
             + self.count_subqueries
             + self.or_expansions
+            + self.rank_sources
         )
 
 
-def compute_stats(query: RelQuery) -> TranslationStats:
-    """Derive the E9 complexity statistics from a compiled AST."""
+def compute_stats(
+    query: RelQuery, used: Optional[set] = None
+) -> TranslationStats:
+    """Derive the E9 complexity statistics from a compiled AST.
+
+    With *used*, the same walk also adds every ``(alias, column)`` a Col
+    reads to it: the set :meth:`RankedSource.pruned` prunes by.
+    """
     stats = TranslationStats()
-    _collect_stats(query, stats)
+    _collect_stats(query, stats, set() if used is None else used)
     return stats
 
 
-def _collect_stats(node: object, stats: TranslationStats) -> None:
-    if isinstance(node, UnionQuery):
+def _collect_stats(
+    node: object, stats: TranslationStats, used: set
+) -> None:
+    if isinstance(node, Col):
+        used.add((node.alias, node.name))
+    elif isinstance(node, UnionQuery):
         for arm in node.selects:
-            _collect_stats(arm, stats)
+            _collect_stats(arm, stats, used)
     elif isinstance(node, Select):
         if node.count_joins:
             stats.joins += max(0, len(node.from_items) - 1)
+        for source, _alias in node.from_items:
+            if isinstance(source, RankedSource):
+                stats.rank_sources += 1
+                _collect_stats(source.query, stats, used)
         for item in node.columns:
-            _collect_stats(item.expr, stats)
+            _collect_stats(item.expr, stats, used)
         for cond in node.where:
-            _collect_stats(cond, stats)
+            _collect_stats(cond, stats, used)
+        for col in node.order_by:
+            used.add((col.alias, col.name))
     elif isinstance(node, Exists):
         if node.counted:
             stats.exists_subqueries += 1
-        _collect_stats(node.query, stats)
+        _collect_stats(node.query, stats, used)
     elif isinstance(node, ScalarCount):
         stats.count_subqueries += 1
-        _collect_stats(node.query, stats)
+        _collect_stats(node.query, stats, used)
     elif isinstance(node, Or):
         stats.or_expansions += node.expansion_arms
         for item in node.items:
-            _collect_stats(item, stats)
+            _collect_stats(item, stats, used)
     elif isinstance(node, And):
         for item in node.items:
-            _collect_stats(item, stats)
-    elif isinstance(node, Not):
-        _collect_stats(node.item, stats)
+            _collect_stats(item, stats, used)
     elif isinstance(node, Cmp):
-        _collect_stats(node.left, stats)
-        _collect_stats(node.right, stats)
+        _collect_stats(node.left, stats, used)
+        _collect_stats(node.right, stats, used)
     elif isinstance(node, Func):
         for arg in node.args:
-            _collect_stats(arg, stats)
-    elif isinstance(node, Cast):
-        _collect_stats(node.item, stats)
-    elif isinstance(node, IsNull):
-        _collect_stats(node.item, stats)
-    # Col/Const/Param/Bool/CountStar are leaves.  StringValueAgg is
-    # deliberately a leaf too: it is a scalar evaluation detail of one
-    # comparison, not part of the E9 structural-complexity accounting
-    # (counting its internal arms would shift the historical baselines).
+            _collect_stats(arg, stats, used)
+    elif isinstance(node, (Not, Cast, IsNull)):
+        _collect_stats(node.item, stats, used)
+    elif isinstance(node, StringValueAgg):
+        # Its columns count, its structure does not: it is a scalar
+        # evaluation detail of one comparison, not part of the E9
+        # structural-complexity accounting (counting its internal arms
+        # would shift the historical baselines).
+        _collect_stats(node.query, TranslationStats(), used)
+    # Const/Param/Bool/CountStar are leaves.
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +449,16 @@ class SqlTextDialect:
 
     The slot list is collected in placeholder order, so binding the
     slots left to right yields the parameter tuple for the statement.
+
+    Ranked sources pass through only the columns in *used*, collected
+    by :func:`compute_stats` (see :meth:`RankedSource.pruned`); ``None``
+    keeps every column.
     """
 
     name = "sqlite"
+
+    def __init__(self, used: Optional[set] = None) -> None:
+        self.used = used
 
     def compile(self, query: RelQuery) -> tuple[str, tuple[ParamSlot, ...]]:
         slots: list[ParamSlot] = []
@@ -396,18 +479,14 @@ class SqlTextDialect:
         parts = ["SELECT "]
         if select.distinct:
             parts.append("DISTINCT ")
-        rendered_items = []
-        for item in select.columns:
-            text = self._expr(item.expr, slots)
-            if item.as_name is not None:
-                text += f" AS {item.as_name}"
-            rendered_items.append(text)
-        parts.append(", ".join(rendered_items))
+        parts.append(self._items(select.columns, slots))
         if select.from_items:
             parts.append(" FROM ")
-            parts.append(
-                ", ".join(f"{t} {a}" for t, a in select.from_items)
-            )
+            parts.append(", ".join(
+                f"{t} {a}" if isinstance(t, str)
+                else f"({self._ranked(t.pruned(a, self.used), slots)}) {a}"
+                for t, a in select.from_items
+            ))
         if select.where:
             parts.append(" WHERE ")
             parts.append(
@@ -419,6 +498,36 @@ class SqlTextDialect:
                 ", ".join(f"{c.alias}.{c.name}" for c in select.order_by)
             )
         return "".join(parts)
+
+    def _items(self, columns: tuple[SelectItem, ...], slots: list) -> str:
+        rendered = []
+        for item in columns:
+            text = self._expr(item.expr, slots)
+            if item.as_name is not None:
+                text += f" AS {item.as_name}"
+            rendered.append(text)
+        return ", ".join(rendered)
+
+    def _ranked(self, source: RankedSource, slots: list) -> str:
+        q = source.alias
+        items = [f"{q}.{c}" for c in source.columns]
+        # The unary plus keeps sqlite from reading the candidates
+        # through the (doc, parent, order) index just to skip the
+        # window's sort: that scans the whole document instead of the
+        # step's candidates.  (minidb's parser drops the no-op plus.)
+        partition = f"PARTITION BY +{q}.grp"
+        for name in source.windows:
+            order, descending = source.window_spec(name)
+            if order is None:
+                items.append(f"COUNT(*) OVER ({partition}) AS {name}")
+            else:
+                direction = " DESC" if descending else ""
+                items.append(
+                    f"ROW_NUMBER() OVER ({partition} ORDER BY "
+                    f"{q}.{order}{direction}) AS {name}"
+                )
+        inner = self._select(source.query, slots)
+        return f"SELECT {', '.join(items)} FROM ({inner}) {q}"
 
     def _expr(self, node: RelExpr, slots: list) -> str:
         if isinstance(node, Col):
@@ -480,6 +589,12 @@ class MiniDbDialect:
 
     name = "minidb"
 
+    def __init__(self, used: Optional[set] = None) -> None:
+        #: The query's column references (:func:`compute_stats`), to
+        #: prune ranked sources as the text dialect does; ``None`` keeps
+        #: every column.
+        self.used = used
+
     def compile(self, query: RelQuery) -> tuple[object, tuple[ParamSlot, ...]]:
         from repro.minidb import sql_ast as m
 
@@ -509,8 +624,14 @@ class MiniDbDialect:
             for item in select.columns
         )
         from_items = tuple(
-            m.FromItem(m.TableSource(table), alias)
-            for table, alias in select.from_items
+            m.FromItem(
+                m.TableSource(source) if isinstance(source, str)
+                else m.SubquerySource(self._ranked(
+                    source.pruned(alias, self.used), slots, m
+                )),
+                alias,
+            )
+            for source, alias in select.from_items
         )
         where = None
         for cond in select.where:
@@ -529,6 +650,29 @@ class MiniDbDialect:
             where=where,
             order_by=order,
             distinct=select.distinct,
+        )
+
+    def _ranked(self, source: RankedSource, slots: list, m) -> object:
+        q = source.alias
+        items = [m.SelectItem(m.ColumnRef(q, c)) for c in source.columns]
+        partition = (m.ColumnRef(q, "grp"),)
+        for name in source.windows:
+            order, descending = source.window_spec(name)
+            if order is None:
+                window = m.WindowExpr(
+                    m.FunctionExpr("count", star=True), partition
+                )
+            else:
+                window = m.WindowExpr(
+                    m.FunctionExpr("row_number"),
+                    partition,
+                    (m.OrderItem(m.ColumnRef(q, order), descending),),
+                )
+            items.append(m.SelectItem(window, name))
+        inner = self._select(source.query, slots, m)
+        return m.Select(
+            items=tuple(items),
+            from_items=(m.FromItem(m.SubquerySource(inner), q),),
         )
 
     def _expr(self, node: RelExpr, slots: list, m) -> object:

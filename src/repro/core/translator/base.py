@@ -10,8 +10,11 @@ becomes a comparison over order columns.
 Predicates compile to:
 
 * **positional** conditions (``[k]``, ``[position() <= k]``, ``[last()]``)
-  — correlated ``COUNT(*)`` subqueries counting axis-mates that precede
-  the candidate, or ``NOT EXISTS`` for ``last()``;
+  — the path prefix up to and including the step becomes one ranked
+  derived table (:class:`~repro.core.relalg.RankedSource`) numbering
+  each context's candidates in axis order with ``ROW_NUMBER()`` (plus
+  ``COUNT(*)`` over the same partition for ``last()``); the tests
+  compare ``rn``/``cnt`` and later steps join to its output;
 * **existence** conditions (``[author]``, ``[@id]``) — ``EXISTS``
   subqueries built by recursive translation;
 * **value** conditions (``[@id = "x"]``, ``[price < 10]``) — ``EXISTS``
@@ -27,25 +30,26 @@ value of the same query shape.
 The two leading-``//`` steps the parser produces
 (``descendant-or-self::node()`` + ``child::T``) are merged into a single
 ``descendant::T`` step whose positional predicates keep child-axis
-semantics (they count siblings under the candidate's own parent, which is
+semantics (they rank siblings under the candidate's own parent, which is
 exactly what the unmerged form would do for every possible parent).
 
-Encoding subclasses provide the axis conditions, sibling/document-order
-comparisons, and result ordering:
+Encoding subclasses provide the axis conditions and result ordering; the
+encodings' sibling and document order columns are the ranking keys:
 
 * Global — integer comparisons on ``pos``/``endpos``;
 * Dewey — byte-range comparisons on the binary key (via the
   ``dewey_successor`` scalar);
 * Local — only parent/sibling axes are direct; everything that needs
   document order or transitive closure expands into depth-bounded
-  ``EXISTS`` chains, and result ordering falls back to a client-side
-  order-resolution pass.
+  ``EXISTS`` chains, result ordering falls back to a client-side
+  order-resolution pass, and positions on document-order axes are not
+  translatable (there is no document order key to rank by).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.core.encodings import OrderEncoding
@@ -64,6 +68,7 @@ from repro.core.relalg import (
     LitSlot,
     MiniDbDialect,
     Param,
+    RankedSource,
     RelExpr,
     RelQuery,
     ScalarCount,
@@ -131,8 +136,8 @@ def normalize_steps(steps: tuple[Step, ...]) -> list[NormStep]:
     therefore *fused* with the following step:
 
     * ``// child::T``      -> ``descendant::T``  (positional predicates
-      keep child semantics, which the counting translation preserves
-      exactly — siblings are counted under each candidate's own parent);
+      keep child semantics, which the ranked translation preserves
+      exactly — siblings are ranked under each candidate's own parent);
     * ``// attribute::T``  -> a deep attribute step;
     * ``// descendant[-or-self]::T`` -> the same axis (set-equal), legal
       only without positional predicates (their contexts would differ);
@@ -278,18 +283,6 @@ class SqlTranslator(ABC):
         """
 
     @abstractmethod
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        """``a`` strictly before ``b`` among siblings (same parent assumed)."""
-
-    @abstractmethod
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        """``a`` strictly before ``b`` in document order.
-
-        Local order cannot express this; its implementation raises
-        :class:`TranslationError`.
-        """
-
-    @abstractmethod
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
         """ORDER BY columns yielding document order, or ``None``."""
 
@@ -371,11 +364,12 @@ class SqlTranslator(ABC):
             self._access = set()
             self._index_names = []
             self._est_rows = None
-        stats = compute_stats(query)
-        sql, slots = SqlTextDialect().compile(query)
+        used: set = set()
+        stats = compute_stats(query, used)
+        sql, slots = SqlTextDialect(used).compile(query)
         statement = None
         if dialect == "minidb":
-            statement, minidb_slots = MiniDbDialect().compile(query)
+            statement, minidb_slots = MiniDbDialect(used).compile(query)
             if minidb_slots != slots:
                 raise TranslationError(
                     "internal error: dialect compilers disagreed on "
@@ -684,8 +678,19 @@ class SqlTranslator(ABC):
         builder: SelectBuilder,
         t: "_Translation",
     ) -> tuple[str, str]:
-        """Add FROM/WHERE items for *steps*; return (final alias, kind)."""
+        """Add FROM/WHERE items for *steps*; return (final alias, kind).
+
+        A step whose first predicate is positional closes the builder's
+        rows so far into a :class:`RankedSource`: the builder restarts
+        from the ranked alias, its predicates test ``rn``/``rrn``/``cnt``
+        there, and later steps join to it.
+        """
         ctx = context
+        # Row multiplicity, for deduplicating before ranking: ``single``
+        # while the only context is the start (the document, the
+        # anchored context or an outer candidate), ``unique`` while no
+        # two rows share their last node.
+        single = unique = True
         for index, step in enumerate(steps):
             final = index == len(steps) - 1
             if step.axis in ("attribute", "attribute-deep"):
@@ -702,24 +707,116 @@ class SqlTranslator(ABC):
                 self.axis_condition(step.axis, ctx, alias, t)
             )
             builder.add_where(self.test_condition(step.test, alias))
+            by_cand = unique and (single or step.axis in ("child", "self"))
+            rank = None
+            if (
+                step.predicates
+                and _contains_positional(step.predicates[0])
+                and step.positional_axis != "self"
+            ):
+                rank = self._rank_for(step, ctx, alias, t)
+                alias = rank.alias
+            conditions = []
             for pred_index, predicate in enumerate(step.predicates):
                 if pred_index > 0 and _contains_positional(predicate):
                     # XPath re-ranks positions after each predicate
                     # filters the candidate list; a flat SQL translation
-                    # counts positions over the unfiltered axis, which
+                    # ranks positions over the unfiltered axis, which
                     # is only correct for the first predicate.
                     raise UnsupportedXPathError(
                         "positional predicates after another predicate "
                         "are outside the translatable fragment"
                     )
-                builder.add_where(
-                    self._predicate_condition(
-                        predicate, alias, ctx, step, t
-                    )
+                conditions.append(
+                    self._predicate_condition(predicate, alias, rank, t)
                 )
+            if rank is not None:
+                # Child positions partition by the candidate's parent,
+                # every other axis by the context.
+                if step.positional_axis == "child":
+                    distinct, by_cand = not by_cand, True
+                else:
+                    distinct = not unique
+                self._close_ranked(builder, rank, distinct)
+            single, unique = False, by_cand
+            for condition in conditions:
+                builder.add_where(condition)
             ctx = alias
         assert ctx is not None
         return ctx, "node"
+
+    def _rank_for(
+        self,
+        step: NormStep,
+        ctx: Optional[str],
+        cand: str,
+        t: "_Translation",
+    ) -> "_Rank":
+        """Partition and order of *step*'s positions.
+
+        Child positions (also for ``//`` merged into ``descendant::``)
+        rank siblings under the candidate's parent; every other axis
+        ranks the candidates of each context node.  Sibling axes order
+        by the sibling key, the others by document order, descending on
+        reverse axes.
+        """
+        axis = step.positional_axis
+        if axis in ("child", "following-sibling", "preceding-sibling"):
+            order: Optional[str] = self.encoding.sibling_order_column
+        elif axis in ("descendant", "descendant-or-self", "following",
+                      "preceding", "ancestor", "ancestor-or-self"):
+            order = self.encoding.order_by_column
+        else:
+            raise UnsupportedXPathError(
+                f"positional predicate on axis {axis!r}"
+            )
+        if axis == "child":
+            group: RelExpr = Col(cand, "parent")
+        else:
+            group = Const(0) if ctx is None else Col(ctx, "id")
+        return _Rank(
+            alias=t.aliases.next(),
+            inner_alias=t.aliases.next(),
+            cand=cand,
+            group=group,
+            order=order,
+            descending=axis in ("preceding-sibling", "preceding",
+                                "ancestor", "ancestor-or-self"),
+        )
+
+    def _close_ranked(
+        self, builder: SelectBuilder, rank: "_Rank", distinct: bool
+    ) -> None:
+        """Replace the builder's rows with *rank*'s ranked source.
+
+        *distinct* deduplicates (group, candidate) pairs first — needed
+        once an earlier step can reach one candidate more than once.
+        Every node column but ``doc`` passes through: later steps and
+        predicates may read any of them (the dialects drop the unread
+        ones once the whole query exists, see
+        :meth:`RankedSource.pruned`).
+        """
+        columns = self.encoding.node_columns()[1:]
+        inner = Select(
+            columns=(SelectItem(rank.group, "grp"),) + tuple(
+                SelectItem(Col(rank.cand, c)) for c in columns
+            ),
+            from_items=tuple(builder.from_items),
+            where=tuple(builder.where),
+            distinct=distinct,
+            count_joins=builder.count_joins,
+        )
+        source = RankedSource(
+            query=inner,
+            alias=rank.inner_alias,
+            columns=columns,
+            order=rank.order,
+            descending=rank.descending,
+            windows=tuple(w for w in ("rn", "rrn", "cnt")
+                          if w in rank.windows),
+        )
+        builder.from_items = [(source, rank.alias)]
+        builder.where = []
 
     def _compile_attribute_step(
         self,
@@ -842,25 +939,29 @@ class SqlTranslator(ABC):
         self,
         expr: Expr,
         cand: str,
-        ctx: Optional[str],
-        step: NormStep,
+        rank: Optional["_Rank"],
         t: "_Translation",
     ) -> RelExpr:
+        """One predicate of a step whose candidates are *cand*.
+
+        *rank* is the step's ranked source (``None`` when the step has
+        no positional predicate, or ranks on the self axis, where every
+        position is 1).
+        """
         # Number-valued predicates are position tests *only* when they
         # are the entire predicate; nested in boolean context (not/and/
         # or) they convert to booleans instead.
         if isinstance(expr, NumberLiteral):
-            return self._positional("=", expr, cand, ctx, step, t)
+            return self._positional("=", expr, rank)
         if isinstance(expr, FunctionCall) and expr.name == "last":
-            return self._positional_last(cand, ctx, step, t)
-        return self._boolean_condition(expr, cand, ctx, step, t)
+            return self._positional_last(rank)
+        return self._boolean_condition(expr, cand, rank, t)
 
     def _boolean_condition(
         self,
         expr: Expr,
         cand: str,
-        ctx: Optional[str],
-        step: NormStep,
+        rank: Optional["_Rank"],
         t: "_Translation",
     ) -> RelExpr:
         from repro.core.relalg import And, Or
@@ -868,23 +969,21 @@ class SqlTranslator(ABC):
         if isinstance(expr, BinaryOp):
             if expr.op == "and":
                 return And((
-                    self._boolean_condition(expr.left, cand, ctx, step, t),
-                    self._boolean_condition(expr.right, cand, ctx, step, t),
+                    self._boolean_condition(expr.left, cand, rank, t),
+                    self._boolean_condition(expr.right, cand, rank, t),
                 ))
             if expr.op == "or":
                 return Or((
-                    self._boolean_condition(expr.left, cand, ctx, step, t),
-                    self._boolean_condition(expr.right, cand, ctx, step, t),
+                    self._boolean_condition(expr.left, cand, rank, t),
+                    self._boolean_condition(expr.right, cand, rank, t),
                 ))
             if expr.op in _COMPARISON_OPS:
-                return self._comparison_condition(
-                    expr, cand, ctx, step, t
-                )
+                return self._comparison_condition(expr, cand, rank, t)
             raise UnsupportedXPathError(f"operator {expr.op!r}")
         if isinstance(expr, PathExpr):
             return self._exists_path(expr.path, cand, t)
         if isinstance(expr, FunctionCall):
-            return self._function_condition(expr, cand, ctx, step, t)
+            return self._function_condition(expr, cand, rank, t)
         if isinstance(expr, NumberLiteral):
             # In boolean context a number is true iff non-zero.
             _require_foldable(expr)
@@ -898,15 +997,14 @@ class SqlTranslator(ABC):
         self,
         call: FunctionCall,
         cand: str,
-        ctx: Optional[str],
-        step: NormStep,
+        rank: Optional["_Rank"],
         t: "_Translation",
     ) -> RelExpr:
         from repro.core.relalg import Not
 
         if call.name == "not":
             return Not(
-                self._boolean_condition(call.args[0], cand, ctx, step, t)
+                self._boolean_condition(call.args[0], cand, rank, t)
             )
         if call.name in ("last", "position"):
             # In boolean context a number converts via boolean(): both
@@ -958,8 +1056,7 @@ class SqlTranslator(ABC):
         self,
         expr: BinaryOp,
         cand: str,
-        ctx: Optional[str],
-        step: NormStep,
+        rank: Optional["_Rank"],
         t: "_Translation",
     ) -> RelExpr:
         left, right, op = expr.left, expr.right, expr.op
@@ -970,10 +1067,10 @@ class SqlTranslator(ABC):
 
         if isinstance(left, FunctionCall) and left.name == "position":
             if isinstance(right, NumberLiteral):
-                return self._positional(op, right, cand, ctx, step, t)
+                return self._positional(op, right, rank)
             if isinstance(right, FunctionCall) and right.name == "last":
                 if op == "=":
-                    return self._positional_last(cand, ctx, step, t)
+                    return self._positional_last(rank)
                 raise UnsupportedXPathError(
                     "only position() = last() is supported"
                 )
@@ -982,8 +1079,8 @@ class SqlTranslator(ABC):
             )
         if isinstance(left, FunctionCall) and left.name == "last":
             if isinstance(right, NumberLiteral):
-                count = self._axis_mates_count(cand, ctx, step, t)
-                return Cmp(op, count, self._lit_param(right, "int"))
+                size = Const(1) if rank is None else rank.size()
+                return Cmp(op, size, self._lit_param(right, "num"))
             raise UnsupportedXPathError(
                 "last() must be compared with a number"
             )
@@ -1061,122 +1158,21 @@ class SqlTranslator(ABC):
     # -- positional predicates -------------------------------------------------------------
 
     def _positional(
-        self,
-        op: str,
-        k: NumberLiteral,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        t: "_Translation",
+        self, op: str, k: NumberLiteral, rank: Optional["_Rank"]
     ) -> RelExpr:
-        """``position() <op> k`` via counting preceding axis-mates."""
-        if step.positional_axis == "self":
-            # The candidate's position on the self axis is always 1.
-            if is_slot(k):
-                return Cmp(op, Const(1), self._lit_param(k, "int"))
-            return Bool(_int_compare(1, op, int(k.value)))
-        count = self._preceding_mates_count(cand, ctx, step, t)
-        # position = count + 1, so position <op> k  <=>  count <op> k-1.
-        return Cmp(op, count, self._lit_param(k, "posm1"))
+        """``position() <op> k`` against the candidate's rank.
 
-    def _positional_last(
-        self,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        t: "_Translation",
-    ) -> RelExpr:
-        """``position() = last()``: no axis-mate follows the candidate."""
-        if step.positional_axis == "self":
-            return Bool(True)
-        sub, m = self._axis_mates_builder(cand, ctx, step, t)
-        sub.add_where(self._mate_order_condition(m, cand, ctx, step,
-                                                 after=True))
-        return exists(sub, negated=True)
-
-    def _preceding_mates_count(
-        self,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        t: "_Translation",
-    ) -> ScalarCount:
-        sub, m = self._axis_mates_builder(cand, ctx, step, t)
-        sub.add_where(self._mate_order_condition(m, cand, ctx, step,
-                                                 after=False))
-        return scalar_count(sub)
-
-    def _axis_mates_count(
-        self,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        t: "_Translation",
-    ) -> ScalarCount:
-        sub, _m = self._axis_mates_builder(cand, ctx, step, t)
-        return scalar_count(sub)
-
-    def _axis_mates_builder(
-        self,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        t: "_Translation",
-    ) -> tuple[SelectBuilder, str]:
-        """Subquery over nodes on the same positional axis as *cand*."""
-        axis = step.positional_axis
-        m = t.aliases.next()
-        sub = SelectBuilder()
-        sub.select = [SelectItem(Const(1))]
-        sub.add_from(self.node_table, m)
-        sub.add_where(t.doc_cond(m))
-        sub.add_where(self.test_condition(step.test, m))
-        if axis == "child":
-            sub.add_where(Cmp("=", Col(m, "parent"), Col(cand, "parent")))
-        elif axis in ("following-sibling", "preceding-sibling"):
-            if ctx is None:
-                raise TranslationError(
-                    "sibling axes need an element context"
-                )
-            sub.add_where(Cmp("=", Col(m, "parent"), Col(cand, "parent")))
-            if axis == "following-sibling":
-                sub.add_where(self.sibling_before(ctx, m))
-            else:
-                sub.add_where(self.sibling_before(m, ctx))
-        elif axis in ("descendant", "descendant-or-self", "following",
-                      "preceding", "ancestor", "ancestor-or-self"):
-            sub.add_where(self.axis_condition(axis, ctx, m, t))
-        else:
-            raise UnsupportedXPathError(
-                f"positional predicate on axis {axis!r}"
-            )
-        return sub, m
-
-    def _mate_order_condition(
-        self,
-        m: str,
-        cand: str,
-        ctx: Optional[str],
-        step: NormStep,
-        after: bool,
-    ) -> RelExpr:
-        """Order *m* relative to *cand* along the positional axis.
-
-        ``after=False`` selects mates at smaller positions (earlier in
-        axis order); ``after=True`` selects mates at greater positions.
+        *k* binds as a number, not an int: ``[2.5]`` selects nothing
+        and ``[position() < 2.5]`` selects two candidates.
         """
-        axis = step.positional_axis
-        reverse = axis in ("preceding-sibling", "preceding", "ancestor",
-                           "ancestor-or-self")
-        sibling_axes = ("child", "following-sibling", "preceding-sibling")
-        want_doc_after = after != reverse
-        if axis in sibling_axes:
-            if want_doc_after:
-                return self.sibling_before(cand, m)
-            return self.sibling_before(m, cand)
-        if want_doc_after:
-            return self.doc_before(cand, m)
-        return self.doc_before(m, cand)
+        position = Const(1) if rank is None else rank.row_number()
+        return Cmp(op, position, self._lit_param(k, "num"))
+
+    def _positional_last(self, rank: Optional["_Rank"]) -> RelExpr:
+        """``position() = last()``: first in reverse axis order."""
+        if rank is None:
+            return Bool(True)
+        return Cmp("=", rank.row_number(reverse=True), Const(1))
 
     # -- existence / value subqueries ------------------------------------------------------
 
@@ -1252,6 +1248,41 @@ class SqlTranslator(ABC):
         steps = normalize_steps(path.steps)
         self._compile_steps(steps, start, sub, t)
         return scalar_count(sub)
+
+
+@dataclass
+class _Rank:
+    """A positional step's ranked source while its predicates compile.
+
+    ``alias`` names the ranked derived table (``inner_alias`` the rows
+    it ranks), ``group`` partitions them, ``order`` is the encoding's
+    order column (``None`` when the axis has none).  Predicates read
+    the window columns through :meth:`row_number`/:meth:`size`, which
+    record in ``windows`` which ones the source must compute.
+    """
+
+    alias: str
+    inner_alias: str
+    cand: str
+    group: RelExpr
+    order: Optional[str]
+    descending: bool
+    windows: set = field(default_factory=set)
+
+    def row_number(self, reverse: bool = False) -> Col:
+        if self.order is None:
+            raise TranslationError(
+                "local order cannot compare document order of arbitrary "
+                "nodes; positional predicates on document-order axes "
+                "are not translatable"
+            )
+        name = "rrn" if reverse else "rn"
+        self.windows.add(name)
+        return Col(self.alias, name)
+
+    def size(self) -> Col:
+        self.windows.add("cnt")
+        return Col(self.alias, "cnt")
 
 
 class _Translation:

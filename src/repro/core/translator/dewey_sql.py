@@ -106,12 +106,6 @@ class DeweySqlTranslator(SqlTranslator):
             ))
         raise TranslationError(f"axis {axis!r} not supported (dewey)")
 
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "dkey"), Col(b, "dkey"))
-
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "dkey"), Col(b, "dkey"))
-
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
         return [Col(alias, "dkey")]
 

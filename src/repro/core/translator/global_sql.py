@@ -83,12 +83,6 @@ class GlobalSqlTranslator(SqlTranslator):
             return Cmp("<", Col(cand, "endpos"), Col(ctx, "pos"))
         raise TranslationError(f"axis {axis!r} not supported (global)")
 
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "pos"), Col(b, "pos"))
-
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "pos"), Col(b, "pos"))
-
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
         return [Col(alias, "pos")]
 

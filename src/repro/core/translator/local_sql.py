@@ -13,9 +13,9 @@ Local order stores nothing but the position among siblings, so:
 * ``following``/``preceding`` compose three expansions (ancestor-or-self,
   following-sibling, descendant-or-self) — the big, slow queries the
   paper reports for local order on document-order axes;
-* document-order comparison between arbitrary nodes (needed by positional
-  predicates on document-order axes) is not expressible at all and raises
-  :class:`TranslationError`;
+* document order between arbitrary nodes has no key to rank by, so
+  positions on document-order axes raise :class:`TranslationError`
+  (sibling positions rank by ``lpos``);
 * results carry no document-order column: the store runs a client-side
   order-resolution pass (fetching ancestor paths) to sort them.
 """
@@ -152,16 +152,6 @@ class LocalSqlTranslator(SqlTranslator):
         else:
             sub.add_where(Cmp("<", Col(f, "lpos"), Col(a, "lpos")))
         return exists(sub)
-
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "lpos"), Col(b, "lpos"))
-
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        raise TranslationError(
-            "local order cannot compare document order of arbitrary "
-            "nodes; positional predicates on document-order axes are "
-            "not translatable"
-        )
 
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
         return None  # client-side order resolution required

@@ -96,12 +96,6 @@ class OrdpathSqlTranslator(SqlTranslator):
             ))
         raise TranslationError(f"axis {axis!r} not supported (ordpath)")
 
-    def sibling_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "okey"), Col(b, "okey"))
-
-    def doc_before(self, a: str, b: str) -> RelExpr:
-        return Cmp("<", Col(a, "okey"), Col(b, "okey"))
-
     def order_by_columns(self, alias: str) -> Optional[list[Col]]:
         return [Col(alias, "okey")]
 

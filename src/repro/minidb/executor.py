@@ -16,7 +16,10 @@ Evaluation model:
   scope chained, and see the outer row bindings through the shared
   environment at run time;
 * aggregates group materialised rows, then evaluate the select list and
-  HAVING in post-aggregate mode.
+  HAVING in post-aggregate mode;
+* window items (``ROW_NUMBER()``/``COUNT(*) OVER (...)``) sort the
+  materialised rows once by (partition, order) and number each
+  partition in that single pass.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    WindowExpr,
 )
 from repro.minidb.tables import HeapTable, coerce_row
 from repro.minidb.values import (
@@ -252,6 +256,10 @@ class Compiler:
                     return row[0]
                 return None
             return scalar_fn
+        if isinstance(expr, WindowExpr):
+            raise ExecutionError(
+                "window functions are only supported as select items"
+            )
         raise ExecutionError(f"cannot compile expression {expr!r}")
 
     def _compile_binary(self, expr: Binary, scope: Scope) -> ExprFn:
@@ -524,6 +532,17 @@ class Compiler:
                 select, scope, steps, gate_fns
             )
         compiled.plan_lines = [_describe_step(s) for s in steps]
+        window_names = [
+            item.expr.func.name
+            for item in select.items
+            if isinstance(item, SelectItem)
+            and isinstance(item.expr, WindowExpr)
+        ]
+        if window_names:
+            compiled.plan_lines.append(
+                f"WINDOW {', '.join(window_names)}: one sort by "
+                "(partition, order)"
+            )
         for from_item, source in sources:
             if isinstance(source, CompiledSelect):
                 compiled.plan_lines.extend(
@@ -623,12 +642,20 @@ class Compiler:
             else None
         )
         distinct = select.distinct
+        windows = [
+            self._compile_window(item.expr, scope)
+            for item in select.items
+            if isinstance(item, SelectItem)
+            and isinstance(item.expr, WindowExpr)
+        ]
 
         def rows(env: Env, state: ExecState) -> Iterator[tuple]:
             for gate in gate_fns:
                 if not is_true(gate(env, state)):
                     return iter(())
             envs = _run_pipeline(steps, env, state)
+            if windows:
+                envs = _apply_windows(windows, envs, state)
             if order_fns:
                 materialised = [
                     (
@@ -808,12 +835,41 @@ class Compiler:
                 return alias_fns[expr.column]
         return self.compile_expr(expr, scope)
 
+    def _compile_window(
+        self, expr: WindowExpr, scope: Scope
+    ) -> "_Window":
+        name = expr.func.name
+        if not (name == "row_number" and not expr.func.args) and not (
+            name == "count" and expr.func.star
+        ):
+            raise ExecutionError(
+                f"unsupported window function {name}()"
+            )
+        return _Window(
+            row_number=name == "row_number",
+            partition_fns=[
+                self.compile_expr(e, scope) for e in expr.partition_by
+            ],
+            order_fns=[
+                (self.compile_expr(o.expr, scope), o.descending)
+                for o in expr.order_by
+            ],
+        )
+
     def _compile_select_items(
         self, select: Select, scope: Scope
     ) -> tuple[list[str], list[ExprFn]]:
         columns: list[str] = []
         fns: list[ExprFn] = []
+        windows = 0
         for index, item in enumerate(select.items):
+            if isinstance(item, SelectItem) and isinstance(
+                item.expr, WindowExpr
+            ):
+                columns.append(item.alias or f"col{index + 1}")
+                fns.append(_make_window_fn(windows))
+                windows += 1
+                continue
             if isinstance(item, Star):
                 for alias, alias_columns in scope.aliases.items():
                     if item.table is not None and alias != item.table:
@@ -825,6 +881,61 @@ class Compiler:
             columns.append(item.alias or _item_name(item.expr, index))
             fns.append(self.compile_expr(item.expr, scope))
         return columns, fns
+
+
+@dataclass
+class _Window:
+    """One compiled window item: partition and order key functions."""
+
+    row_number: bool
+    partition_fns: list[ExprFn]
+    order_fns: list[tuple[ExprFn, bool]]
+
+
+def _apply_windows(
+    windows: list[_Window], envs: Iterator[Env], state: ExecState
+) -> list[Env]:
+    """Materialise *envs* and attach each window item's value.
+
+    Per window: one sort of the row indices by (partition, order) —
+    descending order keys sort in reverse before the stable partition
+    sort — then a single pass numbering rows or sizing partitions.
+    Values land in ``env["__win__"]`` in select-list order.
+    """
+    rows = [dict(e) for e in envs]
+    for e in rows:
+        e["__win__"] = [None] * len(windows)
+    for slot, window in enumerate(windows):
+        parts = [
+            tuple(row_sort_key((fn(e, state),))
+                  for fn in window.partition_fns)
+            for e in rows
+        ]
+        order = list(range(len(rows)))
+        for fn, descending in reversed(window.order_fns):
+            keys = [row_sort_key((fn(e, state),)) for e in rows]
+            order.sort(key=keys.__getitem__, reverse=descending)
+        order.sort(key=parts.__getitem__)
+        start = 0
+        while start < len(order):
+            end = start
+            while end < len(order) and parts[order[end]] == parts[
+                order[start]
+            ]:
+                end += 1
+            for offset in range(start, end):
+                rows[order[offset]]["__win__"][slot] = (
+                    offset - start + 1 if window.row_number
+                    else end - start
+                )
+            start = end
+    return rows
+
+
+def _make_window_fn(slot: int) -> ExprFn:
+    def fn(env: Env, state: ExecState) -> SqlValue:
+        return env["__win__"][slot]
+    return fn
 
 
 def _make_column_fn(alias: str, position: int) -> ExprFn:

@@ -30,6 +30,7 @@ from repro.minidb.sql_ast import (
     SubquerySource,
     Union_,
     Unary,
+    WindowExpr,
 )
 from repro.minidb.tables import HeapTable, TableIndex
 
@@ -88,6 +89,11 @@ def _collect_refs(
         _collect_select_refs(node.select, bound, refs)
     elif isinstance(node, ScalarSubquery):
         _collect_select_refs(node.select, bound, refs)
+    elif isinstance(node, WindowExpr):
+        for expr in node.partition_by:
+            _collect_refs(expr, bound, refs)
+        for order in node.order_by:
+            _collect_refs(order.expr, bound, refs)
     # Literal / Param contribute nothing.
 
 

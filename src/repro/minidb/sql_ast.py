@@ -4,8 +4,9 @@ The subset is exactly what the paper's translations and the benchmark
 harness need: DDL (CREATE TABLE / CREATE INDEX / DROP TABLE), INSERT with
 literals/parameters, single-table UPDATE/DELETE, and SELECT with inner and
 left joins, derived tables, WHERE, correlated EXISTS / IN / scalar
-subqueries, aggregates with GROUP BY / HAVING, DISTINCT, compound UNION
-[ALL], ORDER BY and LIMIT.
+subqueries, aggregates with GROUP BY / HAVING, ``ROW_NUMBER()`` and
+``COUNT(*)`` window functions, DISTINCT, compound UNION [ALL], ORDER BY
+and LIMIT.
 """
 
 from __future__ import annotations
@@ -105,6 +106,16 @@ class ScalarSubquery:
     select: "SelectLike"
 
 
+@dataclass(frozen=True)
+class WindowExpr:
+    """``func OVER (PARTITION BY .. ORDER BY ..)``: ``row_number()`` or
+    ``count(*)``, allowed only as a whole select-list item."""
+
+    func: FunctionExpr
+    partition_by: tuple["Expr", ...] = ()
+    order_by: tuple["OrderItem", ...] = ()
+
+
 Expr = Union[
     Literal,
     Param,
@@ -118,6 +129,7 @@ Expr = Union[
     InList,
     InSelect,
     ScalarSubquery,
+    WindowExpr,
 ]
 
 

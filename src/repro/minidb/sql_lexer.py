@@ -11,7 +11,7 @@ KEYWORDS = frozenset(
     """
     SELECT DISTINCT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT
     UNION ALL AND OR NOT IN EXISTS IS NULL LIKE BETWEEN CAST AS
-    JOIN INNER LEFT OUTER ON CROSS
+    JOIN INNER LEFT OUTER ON CROSS OVER PARTITION
     CREATE TABLE INDEX UNIQUE DROP IF INSERT INTO VALUES UPDATE SET DELETE
     INTEGER REAL TEXT BLOB
     """.split()

@@ -41,6 +41,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    WindowExpr,
 )
 from repro.minidb.sql_lexer import SqlToken, tokenize_sql
 
@@ -515,12 +516,28 @@ class _Parser:
             return self._parse_identifier_expr()
         raise self._error(f"unexpected token {token.value!r}")
 
+    def _parse_over(self, func: FunctionExpr) -> Expr:
+        """An optional ``OVER (PARTITION BY .. ORDER BY ..)`` clause."""
+        if not self.accept("OVER"):
+            return func
+        self.expect("(")
+        partition: list[Expr] = []
+        if self.accept("PARTITION"):
+            self.expect("BY")
+            partition.append(self.parse_expr())
+            while self.accept(","):
+                partition.append(self.parse_expr())
+        order = self._parse_order_by()
+        self.expect(")")
+        return WindowExpr(func, tuple(partition), tuple(order))
+
     def _parse_identifier_expr(self) -> Expr:
         name = self.expect("ident").value
         if self.accept("("):
             if self.accept("*"):
                 self.expect(")")
-                return FunctionExpr(name.lower(), star=True)
+                return self._parse_over(FunctionExpr(name.lower(),
+                                                     star=True))
             args: list[Expr] = []
             if not self.accept(")"):
                 distinct = bool(self.accept("DISTINCT"))
@@ -532,7 +549,7 @@ class _Parser:
                     return FunctionExpr(
                         f"{name.lower()} distinct", tuple(args)
                     )
-            return FunctionExpr(name.lower(), tuple(args))
+            return self._parse_over(FunctionExpr(name.lower(), tuple(args)))
         if self.accept("."):
             column = self.expect("ident").value
             return ColumnRef(name, column)

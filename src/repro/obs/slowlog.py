@@ -3,9 +3,12 @@
 When enabled (:func:`enable_slow_log`), :meth:`XmlStore.query
 <repro.store.XmlStore.query>` records every query at or above the
 threshold: the XPath, the translated SQL and parameters, total elapsed
-time, and a per-phase breakdown (translate / execute / materialize /
+time, a per-phase breakdown (translate / execute / materialize /
 client_order) collected through the :func:`repro.obs.tracer.span`
-``collect`` hook — no tracer required.
+``collect`` hook — no tracer required — and the plan the database chose
+for the SQL (sqlite ``EXPLAIN QUERY PLAN``, :meth:`MiniDb.explain
+<repro.minidb.MiniDb.explain>` on minidb).  The plan is asked for only
+once an entry passes the threshold, so fast queries never pay for it.
 
 The log is a ring buffer (oldest entries evicted), process-wide like
 the metrics registry, and disabled by default so the query hot path
@@ -17,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass
@@ -30,6 +33,8 @@ class SlowQuery:
     elapsed_ms: float
     breakdown_ms: dict[str, float] = field(default_factory=dict)
     thread: str = ""
+    #: The database's plan for ``sql``, one line per step.
+    plan: tuple[str, ...] = ()
 
     def render(self) -> str:
         phases = ", ".join(
@@ -45,6 +50,9 @@ class SlowQuery:
         ]
         if self.params:
             lines.append(f"  params: {self.params!r}")
+        if self.plan:
+            lines.append("  plan:")
+            lines.extend(f"    {step}" for step in self.plan)
         return "\n".join(lines)
 
 
@@ -68,10 +76,22 @@ class SlowQueryLog:
         params: tuple,
         elapsed_ms: float,
         breakdown_ms: Optional[dict[str, float]] = None,
+        explain: Optional[Callable[[], list[str]]] = None,
     ) -> bool:
-        """Record the query if it met the threshold; True when kept."""
+        """Record the query if it met the threshold; True when kept.
+
+        *explain* produces the database's plan; it is called only for
+        kept entries.  A plan that cannot be produced is recorded as
+        one line saying why instead of failing the query.
+        """
         if elapsed_ms < self.threshold_ms:
             return False
+        plan: tuple[str, ...] = ()
+        if explain is not None:
+            try:
+                plan = tuple(explain())
+            except Exception as exc:  # the query itself succeeded
+                plan = (f"(plan unavailable: {exc})",)
         entry = SlowQuery(
             xpath=xpath,
             sql=sql,
@@ -79,6 +99,7 @@ class SlowQueryLog:
             elapsed_ms=elapsed_ms,
             breakdown_ms=dict(breakdown_ms or {}),
             thread=threading.current_thread().name,
+            plan=plan,
         )
         with self._lock:
             self._entries.append(entry)

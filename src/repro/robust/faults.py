@@ -174,6 +174,10 @@ class FaultInjectingBackend(Backend):
         self.statements_executed += 1
         return result
 
+    def explain_plan(self, sql: str, params: Sequence = ()) -> list[str]:
+        # Planning reads no rows: not a gated statement.
+        return self.inner.explain_plan(sql, params)
+
     def executemany(
         self, sql: str, param_rows: Iterable[Sequence]
     ) -> BackendResult:

@@ -718,6 +718,9 @@ class XmlStore:
                         name: seconds * 1000.0
                         for name, seconds in phases.items()
                     },
+                    explain=lambda: self.backend.explain_plan(
+                        translated.sql, translated.params
+                    ),
                 )
         if use_cache:
             # Stored as a tuple of frozen ResultItems; every hit hands

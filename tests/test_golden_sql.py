@@ -47,46 +47,51 @@ SNAPSHOT_QUERIES = (
     "/bib/book[not(@id)]",
 )
 
-#: Per-query relational-operation counts reported by the pre-refactor
-#: string-assembling translators at max_depth=6, captured immediately
-#: before the AST rewrite: [joins, exists, count, or_expansions].
-#: global/dewey/ordpath agree everywhere; local differs only where an
-#: override is listed.
+#: Per-query relational-operation counts at max_depth=6:
+#: [joins, exists, count, or_expansions, rank_sources].  The first four
+#: columns are the counts the pre-AST string-assembling translators
+#: reported, except that positional predicates no longer cost a
+#: correlated COUNT(*) (or, for last(), a NOT EXISTS) per candidate:
+#: each positional step is one ranked source instead.  Joins and
+#: expansion arms are unchanged.  global/dewey/ordpath agree
+#: everywhere; local differs only where an override is listed.
 STATS_BASELINE = {
-    "/bib/book/title": [2, 0, 0, 0],
-    "/bib//title": [1, 0, 0, 0],
-    "//book": [0, 0, 0, 0],
-    "//@id": [1, 0, 0, 0],
-    "/bib/book[2]": [1, 0, 1, 0],
-    "/bib/book[position() <= 3]/title": [2, 0, 1, 0],
-    "/bib/book[last()]": [1, 1, 0, 0],
-    "/bib/book[author = 'Smith']/title": [2, 1, 0, 0],
-    "/bib/book[price < 10]": [1, 1, 0, 0],
-    "/bib/book[contains(title, 'Web')]": [1, 1, 0, 0],
-    "/bib/book[starts-with(title, 'T')]": [1, 1, 0, 0],
-    "/bib/book[author][@year]": [1, 2, 0, 0],
-    "/bib/book/author[1]/following-sibling::author": [3, 0, 1, 0],
-    "/bib/book[1]/following::title": [2, 0, 1, 0],
-    "/bib/book/title/parent::book": [3, 0, 0, 0],
-    "/bib/book/ancestor::bib": [2, 0, 0, 0],
-    "//book/ancestor-or-self::*": [1, 0, 0, 0],
-    "/bib/book[count(author) > 1]/title": [2, 0, 1, 0],
-    "/bib/book[not(@id)]": [1, 1, 0, 0],
-    "//title | //author": [0, 0, 0, 0],
-    "/bib/book/@id | //@year": [3, 0, 0, 0],
-    "/bib/book[@id = 'b1' or @id = 'b2']": [1, 2, 0, 0],
-    "/bib/book/descendant::text()": [2, 0, 0, 0],
-    "/bib/book[3]/preceding-sibling::book": [2, 0, 1, 0],
+    "/bib/book/title": [2, 0, 0, 0, 0],
+    "/bib//title": [1, 0, 0, 0, 0],
+    "//book": [0, 0, 0, 0, 0],
+    "//@id": [1, 0, 0, 0, 0],
+    "/bib/book[2]": [1, 0, 0, 0, 1],
+    "/bib/book[position() <= 3]/title": [2, 0, 0, 0, 1],
+    "/bib/book[last()]": [1, 0, 0, 0, 1],
+    "/bib/book[author = 'Smith']/title": [2, 1, 0, 0, 0],
+    "/bib/book[price < 10]": [1, 1, 0, 0, 0],
+    "/bib/book[contains(title, 'Web')]": [1, 1, 0, 0, 0],
+    "/bib/book[starts-with(title, 'T')]": [1, 1, 0, 0, 0],
+    "/bib/book[author][@year]": [1, 2, 0, 0, 0],
+    "/bib/book/author[1]/following-sibling::author": [3, 0, 0, 0, 1],
+    "/bib/book[1]/following::title": [2, 0, 0, 0, 1],
+    "/bib/book/title/parent::book": [3, 0, 0, 0, 0],
+    "/bib/book/ancestor::bib": [2, 0, 0, 0, 0],
+    "//book/ancestor-or-self::*": [1, 0, 0, 0, 0],
+    "/bib/book[count(author) > 1]/title": [2, 0, 1, 0, 0],
+    "/bib/book[not(@id)]": [1, 1, 0, 0, 0],
+    "//title | //author": [0, 0, 0, 0, 0],
+    "/bib/book/@id | //@year": [3, 0, 0, 0, 0],
+    "/bib/book[@id = 'b1' or @id = 'b2']": [1, 2, 0, 0, 0],
+    "/bib/book/descendant::text()": [2, 0, 0, 0, 0],
+    "/bib/book[3]/preceding-sibling::book": [2, 0, 0, 0, 1],
+    "//book/ancestor::*[last() > 1]": [1, 0, 0, 0, 1],
 }
 
 #: The local encoding pays depth-expansion arms (and sometimes an extra
 #: EXISTS) on vertical-recursion and document-order axes.
 LOCAL_OVERRIDES = {
-    "/bib//title": [1, 0, 0, 4],
-    "/bib/book[1]/following::title": [2, 1, 1, 8],
-    "/bib/book/ancestor::bib": [2, 0, 0, 4],
-    "//book/ancestor-or-self::*": [1, 0, 0, 4],
-    "/bib/book/descendant::text()": [2, 0, 0, 4],
+    "/bib//title": [1, 0, 0, 4, 0],
+    "/bib/book[1]/following::title": [2, 1, 0, 8, 1],
+    "/bib/book/ancestor::bib": [2, 0, 0, 4, 0],
+    "//book/ancestor-or-self::*": [1, 0, 0, 4, 0],
+    "/bib/book/descendant::text()": [2, 0, 0, 4, 0],
+    "//book/ancestor::*[last() > 1]": [1, 0, 0, 4, 1],
 }
 
 
@@ -265,8 +270,8 @@ class TestStatsBaseline:
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_ast_stats_match_pre_refactor_counts(self, encoding):
         """compute_stats over the expression AST reproduces the counts
-        the pre-refactor translators accumulated while gluing strings —
-        E9's cost model is unchanged by the rewrite."""
+        the pre-refactor translators accumulated while gluing strings,
+        with positional predicates counted as ranked sources."""
         translator = make_translator(encoding, MAX_DEPTH)
         for xpath, base in STATS_BASELINE.items():
             if encoding == "local":
@@ -277,6 +282,7 @@ class TestStatsBaseline:
                 stats.exists_subqueries,
                 stats.count_subqueries,
                 stats.or_expansions,
+                stats.rank_sources,
             ]
             assert got == base, (encoding, xpath)
 

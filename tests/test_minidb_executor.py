@@ -427,3 +427,52 @@ class TestExplain:
 
         with pytest.raises(ExecutionError):
             db.explain("DELETE FROM emp")
+
+
+class TestWindowFunctions:
+    """ROW_NUMBER()/COUNT(*) OVER: one sort by (partition, order), then
+    one numbering pass — checked against sqlite on the same rows."""
+
+    QUERIES = (
+        "SELECT id, ROW_NUMBER() OVER (PARTITION BY dept ORDER BY salary)"
+        " AS rn FROM emp ORDER BY id",
+        "SELECT id, ROW_NUMBER() OVER (PARTITION BY dept ORDER BY salary"
+        " DESC) AS rn, COUNT(*) OVER (PARTITION BY dept) AS cnt FROM emp"
+        " ORDER BY id",
+        "SELECT id, COUNT(*) OVER () AS cnt FROM emp ORDER BY id",
+        "SELECT r.id FROM (SELECT e.id, ROW_NUMBER() OVER (PARTITION BY"
+        " e.boss ORDER BY e.id DESC) AS rn FROM emp e WHERE e.boss = 1) r"
+        " WHERE r.rn = 1",
+    )
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_matches_sqlite(self, db, sql):
+        import sqlite3
+
+        reference = sqlite3.connect(":memory:")
+        reference.execute("CREATE TABLE emp (id INTEGER, name TEXT, "
+                          "dept TEXT, salary REAL, boss INTEGER)")
+        reference.executemany(
+            "INSERT INTO emp VALUES (?, ?, ?, ?, ?)",
+            db.execute("SELECT * FROM emp").rows,
+        )
+        want = [tuple(r) for r in reference.execute(sql).fetchall()]
+        assert db.execute(sql).rows == want
+
+    def test_explain_names_the_window(self, db):
+        plan = db.explain(
+            "SELECT id, ROW_NUMBER() OVER (PARTITION BY dept ORDER BY id)"
+            " AS rn FROM emp"
+        )
+        assert any(line.startswith("WINDOW row_number") for line in plan)
+
+    def test_window_outside_select_list_rejected(self, db):
+        with pytest.raises(ExecutionError):
+            db.execute(
+                "SELECT id FROM emp WHERE "
+                "ROW_NUMBER() OVER (ORDER BY id) = 1"
+            )
+
+    def test_unsupported_window_function_rejected(self, db):
+        with pytest.raises(ExecutionError):
+            db.execute("SELECT SUM(salary) OVER () FROM emp")

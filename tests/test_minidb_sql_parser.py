@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SqlSyntaxError
 from repro.minidb.sql_ast import (
     Binary,
+    ColumnRef,
     CreateIndex,
     CreateTable,
     Delete,
@@ -16,6 +17,7 @@ from repro.minidb.sql_ast import (
     Insert,
     IsNull,
     Literal,
+    OrderItem,
     Param,
     ScalarSubquery,
     Star,
@@ -24,6 +26,7 @@ from repro.minidb.sql_ast import (
     Union_,
     Unary,
     Update,
+    WindowExpr,
 )
 from repro.minidb.sql_lexer import tokenize_sql
 from repro.minidb.sql_parser import parse_sql
@@ -166,6 +169,24 @@ class TestSelect:
     def test_derived_table(self):
         statement = parse_sql("SELECT d.a FROM (SELECT a FROM t) d")
         assert isinstance(statement.from_items[0].source, SubquerySource)
+
+    def test_window_functions(self):
+        statement = parse_sql(
+            "SELECT ROW_NUMBER() OVER (PARTITION BY +t.g, t.h "
+            "ORDER BY t.k DESC) AS rn, COUNT(*) OVER (PARTITION BY t.g) "
+            "AS cnt, COUNT(*) OVER () FROM t"
+        )
+        rn, cnt, total = (item.expr for item in statement.items)
+        assert rn == WindowExpr(
+            FunctionExpr("row_number"),
+            (ColumnRef("t", "g"), ColumnRef("t", "h")),
+            (OrderItem(ColumnRef("t", "k"), True),),
+        )
+        assert cnt == WindowExpr(
+            FunctionExpr("count", star=True), (ColumnRef("t", "g"),)
+        )
+        assert total == WindowExpr(FunctionExpr("count", star=True))
+        assert statement.items[0].alias == "rn"
 
     def test_where_precedence(self):
         statement = parse_sql(

@@ -122,3 +122,47 @@ def test_fuzz_pool_samples_non_numeric_text():
         encodings=("global", "dewey"), backends=("sqlite",),
     ))
     assert not report.failures, report.failures
+
+
+#: Positions are integers, so a fractional position never equals one
+#: and relational tests round the other way than truncation: positions
+#: compare with the literal as a number, never as ``int(k)``.
+#: (query, expected result count over BIB_POSITIONS_XML).
+NON_INTEGER_POSITIONS = (
+    ("/bib/book[2.5]", 0),
+    ("/bib/book[0]", 0),
+    ("/bib/book[position() = 2.5]", 0),
+    ("/bib/book[position() < 2.5]", 2),
+    ("/bib/book[position() >= 2.5]", 2),
+    ("/bib/book[position() > 0.5]/title", 4),
+    ("/bib/book[last() < 4.5]", 4),
+    ("/bib/book[last() > 4]", 0),
+    ("/bib/book[1]/following-sibling::book[1.5]", 0),
+    ("/bib/book[4]/preceding-sibling::book[position() <= 1.5]", 1),
+)
+
+BIB_POSITIONS_XML = (
+    "<bib><book><title>a</title></book><book><title>b</title></book>"
+    "<book><title>c</title></book><book><title>d</title></book></bib>"
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+class TestNonIntegerPositions:
+    """Regression: positions compared against ``int(k) - 1`` preceding
+    mates, so ``[2.5]`` returned book 2 and ``[position() < 2.5]``
+    returned one book."""
+
+    def test_positions_compare_as_numbers(self, backend, encoding):
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(BIB_POSITIONS_XML)
+        try:
+            for query, expected in NON_INTEGER_POSITIONS:
+                got = store.query(query, doc)
+                assert len(got) == expected, query
+                assert len(got) == _oracle_count(
+                    BIB_POSITIONS_XML, query
+                ), query
+        finally:
+            store.close()

@@ -276,6 +276,36 @@ class TestSlowQueryLog:
         assert log.entries() == []
         assert log.recorded == 0
 
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    def test_slow_entry_records_chosen_plan(self, backend):
+        store = XmlStore(backend=backend, encoding="global")
+        doc = store.load("<a><b>x</b><b>y</b></a>")
+        log = enable_slow_log(threshold_ms=0.0, capacity=10)
+        store.query("/a/b[last()]", doc)
+        (entry,) = log.entries()
+        plan = "\n".join(entry.plan)
+        if backend == "sqlite":
+            assert "node_global" in plan
+            assert any(w in plan for w in ("SEARCH", "SCAN"))
+        else:
+            assert "JOIN node_global" in plan
+            assert "WINDOW row_number" in plan
+        rendered = entry.render()
+        assert "  plan:" in rendered
+        assert entry.plan[0] in rendered
+
+    def test_plan_only_computed_for_kept_entries(self, monkeypatch):
+        store = XmlStore(backend="sqlite", encoding="dewey")
+        doc = store.load("<a><b/></a>")
+
+        def explode(sql, params=()):
+            raise AssertionError("plan computed below the threshold")
+
+        monkeypatch.setattr(store.backend, "explain_plan", explode)
+        log = enable_slow_log(threshold_ms=10_000.0)
+        store.query("/a/b", doc)
+        assert log.entries() == []
+
     def test_ring_buffer_evicts_oldest(self):
         log = enable_slow_log(threshold_ms=0.0, capacity=2)
         for n in range(4):

@@ -284,14 +284,14 @@ class TestCompiledPlanBind:
 
     def test_literal_transforms(self):
         plan = self.plan([
-            LitSlot(0, "posm1"),
-            LitSlot(0, "int"),
             LitSlot(0, "num"),
+            LitSlot(2, "num"),
             LitSlot(1, "len"),
             LitSlot(1, "raw"),
         ])
-        bound = plan.bind(1, literals=(3.0, "abc"))
-        assert bound.params == (2, 3, 3, 3, "abc")
+        bound = plan.bind(1, literals=(3.0, "abc", 2.5))
+        assert bound.params == (3, 2.5, 3, "abc")
+        assert isinstance(bound.params[0], int)
 
     def test_literal_slot_out_of_range(self):
         plan = self.plan([LitSlot(2)])

@@ -7,6 +7,7 @@ import pytest
 from repro.store import XmlStore
 from repro.workload import article_corpus
 from repro.workload.queries import ORDERED_QUERIES, UNORDERED_QUERIES
+from repro.xmldom.parser import parse
 from tests.conftest import (
     ALL_ENCODINGS,
     ENCODINGS,
@@ -85,6 +86,32 @@ class TestBackendParity:
         for xpath in queries:
             assert store_identities(lite, doc_l, xpath) == \
                 store_identities(mini, doc_m, xpath), xpath
+
+
+#: Two ``//`` steps reach each ``d`` from two ``a`` contexts, so the
+#: ranked source deduplicates (group, candidate) rows before counting.
+#: Local has no document-order key, so ``descendant::`` ranks only by
+#: ``cnt``; the deduplicated rows must still keep each candidate's id,
+#: or the two ``d`` merge and ``last()`` counts 2 instead of 3.
+DUPLICATE_REACH_XML = "<r><a><a><b><c><d/><d/></c></b></a></a></r>"
+
+DUPLICATE_REACH_QUERIES = (
+    ("//a//b/descendant::*[last() > 2]/parent::*", ["b", "c"]),
+    ("//a//b/descendant::*[last() = 3]/parent::*", ["b", "c"]),
+)
+
+
+class TestRankedSourceKeepsCandidates:
+    @pytest.mark.parametrize("backend", ["sqlite", "minidb"])
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS)
+    def test_duplicate_reach_counts_each_candidate(self, encoding, backend):
+        document = parse(DUPLICATE_REACH_XML)
+        store = XmlStore(backend=backend, encoding=encoding)
+        doc = store.load(DUPLICATE_REACH_XML)
+        for xpath, labels in DUPLICATE_REACH_QUERIES:
+            assert [r.label for r in store.query(xpath, doc)] == labels
+            assert_query_matches_oracle(store, doc, document, xpath)
+        store.close()
 
 
 class TestWorkloadQueriesMatchOracle:

@@ -82,14 +82,24 @@ class TestCommonShape:
 
     @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
     def test_positional_predicate_uses_count(self, encoding):
+        # Positions are counted once per sibling group by ROW_NUMBER()
+        # in a ranked derived table, not by a COUNT(*) per candidate.
         translated = translate(encoding, "/bib/book[2]")
-        assert "(SELECT COUNT(*)" in translated.sql
-        assert translated.stats.count_subqueries == 1
+        assert "ROW_NUMBER() OVER (PARTITION BY " in translated.sql
+        assert ".rn = ?" in translated.sql
+        assert "(SELECT COUNT(*)" not in translated.sql
+        assert translated.stats.rank_sources == 1
+        assert translated.stats.count_subqueries == 0
 
     @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
-    def test_last_uses_not_exists(self, encoding):
+    def test_last_uses_reverse_rank(self, encoding):
+        # last() is rank 1 in reverse axis order: no count, no
+        # NOT EXISTS probe per candidate.
         translated = translate(encoding, "/bib/book[last()]")
-        assert "NOT EXISTS (" in translated.sql
+        assert " DESC) AS rrn" in translated.sql
+        assert ".rrn = 1" in translated.sql
+        assert "EXISTS (" not in translated.sql
+        assert "COUNT(*)" not in translated.sql
 
     @pytest.mark.parametrize("encoding", ["global", "local", "dewey"])
     def test_value_comparison_against_number_casts(self, encoding):
@@ -209,7 +219,11 @@ class TestLocalEncoding:
             translated = translate(
                 encoding, "/bib/book[1]/following::author[2]"
             )
-            assert "(SELECT COUNT(*)" in translated.sql
+            # One ranked source per positional step; the following::
+            # positions rank per context in document order.
+            assert translated.stats.rank_sources == 2
+            assert translated.sql.count("ROW_NUMBER() OVER (") == 2
+            assert "(SELECT COUNT(*)" not in translated.sql
 
 
 class TestTranslationStatsComparative:
